@@ -150,12 +150,15 @@
 //
 // The ownership rule that makes immediate recycling safe under the
 // optimistic read protocol: arena memory is only ever dereferenced while
-// holding the shard lock. A read's plan phase copies the Bloom-filter
-// bytes it will test into per-goroutine scratch and precomputes its
-// candidate page addresses; the unlocked I/O phase touches only that
-// scratch and its own pooled buffers, and the commit phase re-validates
-// the SG epoch before touching any SG — an epoch match proves no flush or
-// eviction recycled anything the plan referenced. Freed slots therefore go
+// holding the shard lock. A read's plan phase Bloom-tests, in place, every
+// filter held in an unsealed group's buffer or a cached PBFG page, and
+// queues only the positives with their candidate page addresses
+// precomputed; members whose PBFG page is not cached are tested after the
+// I/O phase fetches that page into the read's own buffer. The unlocked
+// I/O phase touches only per-goroutine scratch and its own pooled
+// buffers, and the commit phase re-validates the SG epoch before touching
+// any SG — an epoch match proves no flush or eviction recycled anything
+// the plan referenced. Freed slots therefore go
 // straight back to their free lists, with no deferred reclamation, and the
 // arena leak test pins slot accounting plus process HeapObjects flat over
 // fill→evict→refill churn. `nemobench -gcbench` (BENCH_gc.json in CI)

@@ -24,11 +24,12 @@ import (
 //
 // Recycling is immediate: freed slots go straight back to the free lists.
 // That is safe because the concurrent read path never dereferences arena
-// memory outside the lock — its plan phase copies the filter bytes it will
-// test and precomputes the page addresses it will read while still holding
-// the lock (readpath.go), so a slot reused mid-attempt can corrupt nothing
-// the attempt still looks at (stale attempts are discarded by the epoch
-// check regardless).
+// memory outside the lock — its plan phase Bloom-tests every filter the
+// arenas hold in place and precomputes the page addresses it will read
+// while still holding the lock (readpath.go), and the filters it cannot
+// reach yet are tested on pages it fetches into its own buffers. A slot
+// reused mid-attempt can corrupt nothing the attempt still looks at (stale
+// attempts are discarded by the epoch check regardless).
 
 // flashSG describes one immutable on-flash Set-Group in the FIFO pool.
 // Structs are allocated from the cache's sgArena; zones aliases the chunk's

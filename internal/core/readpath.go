@@ -5,16 +5,17 @@ package core
 // A Get runs in three phases:
 //
 //   - plan (locked): fingerprint → set offset, probe the in-memory SGs, and
-//     — when the lookup must go to flash — snapshot everything the unlocked
-//     phase needs: the ordered member-filter probes (the filter bytes are
-//     COPIED into the per-goroutine scratch and the candidate page addresses
-//     precomputed here, so the unlocked phase never touches the recycling
-//     index-cache/SG arenas) and the PBFG pages missing from the index
-//     cache, plus the SG epoch (pool head ID + flush sequence).
-//   - I/O (unlocked): fetch the missing PBFG pages, Bloom-test the probes
-//     newest-first, read the candidate set pages (pooled per-goroutine
-//     buffers via sync.Pool — never the mutex-guarded scratch the old path
-//     used), and scan them for the key.
+//     — when the lookup must go to flash — Bloom-test in place every member
+//     filter the lock can reach (unsealed group buffers, cached PBFG pages)
+//     and queue only the positives, page addresses precomputed, so the
+//     unlocked phase never touches the recycling index-cache/SG arenas.
+//     Members of a group whose PBFG page is not cached are queued untested
+//     against a pending fetch of it, and the SG epoch (pool head ID + flush
+//     sequence) is snapshotted.
+//   - I/O (unlocked): fetch the missing PBFG pages, Bloom-test the members
+//     queued against them, read the candidate set pages newest-first
+//     (pooled per-goroutine buffers via sync.Pool — never the mutex-guarded
+//     scratch the old path used), and scan them for the key.
 //   - commit (locked): re-validate the epoch. If no SG was flushed or
 //     evicted since the plan, the pages read were the immutable pages the
 //     snapshot named, so the order-insensitive read-side effects apply:
@@ -61,15 +62,16 @@ import (
 // falling back to fully-locked I/O (guaranteed progress under write storms).
 const maxGetOptimistic = 3
 
-// probeEnt is one member-filter Bloom test queued by the plan phase, in
-// newest-first candidate order. The sg pointer is carried for the commit
+// probeEnt is one candidate queued by the plan phase, in newest-first
+// order: a member whose filter already tested positive under the lock
+// (pend < 0), or one whose filter lives on a PBFG page still to be fetched
+// and is tested by the I/O phase. The sg pointer is carried for the commit
 // phase only (markHot, under the lock after epoch validation); the unlocked
-// phase works from the copied filter bytes and the precomputed address.
+// phase works from the fetched page and the precomputed address.
 type probeEnt struct {
 	sg   *flashSG
 	addr int   // flash address of the candidate set page, fixed at plan time
-	bfLo int32 // offset of the copied filter in sc.bfArena; -1 = pend-backed
-	pend int32 // index into the pend list when bfLo < 0
+	pend int32 // index into the pend list; -1 = tested positive at plan time
 	slot int32 // filter slot within the pending group's page
 }
 
@@ -90,17 +92,18 @@ type pendFetch struct {
 // getScratch is the per-goroutine reusable state of one Get (or one batch).
 // Instances live in the cache's sync.Pool: a borrowing goroutine owns the
 // scratch exclusively until it returns it, so the steady-state hot path
-// allocates nothing beyond the returned value copy. The candidate read
-// buffers (bufs) are plain pooled pages — the device copies into them
-// synchronously and never retains them (the flashsim ReadPages ownership
-// contract), and they are recycled across Gets. PBFG pages headed for the
-// index cache draw from their own free list (freePages): the index cache
-// copies on put, so the fetch buffer comes straight back.
+// allocates nothing beyond the returned value copy. It never aliases arena
+// memory: filters the plan phase could not reach are tested on pages it
+// fetched itself. The candidate read buffers (bufs) are plain pooled pages
+// — the device copies into them synchronously and never retains them (the
+// flashsim ReadPages ownership contract), and they are recycled across
+// Gets. PBFG pages headed for the index cache draw from their own free list
+// (freePages): the index cache copies on put, so the fetch buffer comes
+// straight back.
 type getScratch struct {
-	probes    *bloom.ProbeSet
+	probes    *bloom.ProbeSet // the planning (or pend-testing) key's probe positions
 	ents      []probeEnt
 	pends     []pendFetch
-	bfArena   []byte // plan-phase copies of the filters to test, bfBytes each
 	cands     []*flashSG
 	addrs     []int
 	bufs      [][]byte
@@ -225,9 +228,10 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 	}
 	c.epochLocked(att)
 
-	// 2. Snapshot the candidate identification work: newest group first,
-	// newest member first, so the I/O phase scans shadowing copies in the
-	// same order the locked path searched them.
+	// 2. Identify the candidates: newest group first, newest member first,
+	// so the I/O phase scans shadowing copies in the same order the locked
+	// path searched them.
+	sc.probes.Reuse(fp, c.bfBits)
 	att.entLo = int32(len(sc.ents))
 	for gi := len(c.groups) - 1; gi >= 0; gi-- {
 		g := c.groups[gi]
@@ -259,22 +263,14 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 			if m.dead || m.setCount(o) == 0 {
 				continue
 			}
-			// Copy the filter to test into the scratch now: arena slots and
+			// Test the filter now if the lock can reach it: arena slots and
 			// unsealed group buffers may be recycled or dropped the moment
-			// the lock is released, so the unlocked phase must own every
-			// byte it reads. The page address is fixed here for the same
-			// reason (m.zones aliases the recycling SG arena).
-			e := probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), bfLo: -1, pend: pend, slot: int32(s)}
-			switch {
-			case !g.sealed:
-				bf := g.slotBF[s]
-				e.bfLo = int32(len(sc.bfArena))
-				sc.bfArena = append(sc.bfArena, bf[o*c.bfBytes:(o+1)*c.bfBytes]...)
-			case page != nil:
-				e.bfLo = int32(len(sc.bfArena))
-				sc.bfArena = append(sc.bfArena, page[s*c.bfBytes:(s+1)*c.bfBytes]...)
+			// the lock is released. The page address is fixed here for the
+			// same reason (m.zones aliases the recycling SG arena).
+			if pend < 0 && !c.testMember(g, page, s, o, sc.probes) {
+				continue
 			}
-			sc.ents = append(sc.ents, e)
+			sc.ents = append(sc.ents, probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: pend, slot: int32(s)})
 		}
 	}
 	att.entHi = int32(len(sc.ents))
@@ -321,10 +317,11 @@ func (c *Cache) fetchPend(sc *getScratch, p *pendFetch, r *getIOResult) {
 }
 
 // getIO is the unlocked phase for one key: fetch this attempt's pending
-// PBFG pages, Bloom-test the snapshot probes, read and scan the candidate
-// set pages. my selects which pends this attempt owns (batch mode shares
-// the pend list across keys); pends fetched by earlier keys contribute no
-// latency here, mirroring the index-cache hit a serial execution would see.
+// PBFG pages, Bloom-test the members queued against them, read and scan the
+// candidate set pages. my selects which pends this attempt owns (batch mode
+// shares the pend list across keys); pends fetched by earlier keys
+// contribute no latency here, mirroring the index-cache hit a serial
+// execution would see.
 func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r getIOResult) {
 	for i := range sc.pends {
 		p := &sc.pends[i]
@@ -343,14 +340,11 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 			r.maxDone = p.done
 		}
 	}
-	sc.probes.Reuse(att.fp, c.bfBits)
+	probed := false
 	cands := sc.cands[:0]
 	addrs := sc.addrs[:0]
 	for _, e := range sc.ents[att.entLo:att.entHi] {
-		var bf []byte
-		if e.bfLo >= 0 {
-			bf = sc.bfArena[e.bfLo : int(e.bfLo)+c.bfBytes]
-		} else {
+		if e.pend >= 0 {
 			p := &sc.pends[e.pend]
 			if p.page == nil {
 				// The owning key aborted before fetching this page (or the
@@ -365,12 +359,17 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 				r.outcome = ioErr
 				return r
 			}
-			bf = p.page[e.slot*int32(c.bfBytes) : (e.slot+1)*int32(c.bfBytes)]
+			if !probed {
+				// A batch's later keys replanned the shared probe set.
+				sc.probes.Reuse(att.fp, c.bfBits)
+				probed = true
+			}
+			if !bloom.TestRaw(p.page[e.slot*int32(c.bfBytes):(e.slot+1)*int32(c.bfBytes)], sc.probes) {
+				continue
+			}
 		}
-		if bloom.TestRaw(bf, sc.probes) {
-			cands = append(cands, e.sg)
-			addrs = append(addrs, e.addr)
-		}
+		cands = append(cands, e.sg)
+		addrs = append(addrs, e.addr)
 	}
 	sc.cands, sc.addrs = cands, addrs
 	if len(cands) == 0 {
@@ -475,7 +474,6 @@ func (c *Cache) abortGetLocked(sc *getScratch, r *getIOResult) {
 func (sc *getScratch) resetPlan() {
 	sc.ents = sc.ents[:0]
 	sc.pends = sc.pends[:0]
-	sc.bfArena = sc.bfArena[:0]
 }
 
 // get is the single-key lookup path behind Get; the key is already

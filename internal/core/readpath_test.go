@@ -7,11 +7,13 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"nemo/internal/device"
 	"nemo/internal/devtest"
+	"nemo/internal/filedev"
 	"nemo/internal/flashsim"
 )
 
@@ -396,4 +398,74 @@ func TestGetEpochConflictFallsBack(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// BenchmarkGetSealedIndex measures single-key GETs whose lookups go through
+// sealed PBFG index groups, at the served benchmark's geometry: 4 KiB
+// pages, 64 pages per zone, one shard of 60 SGs with two live index groups,
+// and half of the PBFG pages cached (so lookups meet both cached and
+// fetched index pages). It runs on the simulator and on a file-backed
+// image; b.ReportAllocs pins the pooled read path's allocation count.
+func BenchmarkGetSealedIndex(b *testing.B) {
+	const dataZones, valueSize = 60, 250
+	geo := device.Geometry{
+		PageSize:     4096,
+		PagesPerZone: 64,
+		Zones:        dataZones + IndexZonesFor(dataZones, DefaultSGsPerIndexGroup),
+	}
+	open := map[string]func(b *testing.B) device.Device{
+		"sim": func(*testing.B) device.Device {
+			return flashsim.New(flashsim.Config{PageSize: geo.PageSize, PagesPerZone: geo.PagesPerZone, Zones: geo.Zones})
+		},
+		"file": func(b *testing.B) device.Device {
+			d, err := filedev.Open(filedev.Config{
+				Path:         filepath.Join(b.TempDir(), "nemo.img"),
+				PageSize:     geo.PageSize,
+				PagesPerZone: geo.PagesPerZone,
+				Zones:        geo.Zones,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { d.Close() })
+			return d
+		},
+	}
+	for _, name := range []string{"sim", "file"} {
+		b.Run(name, func(b *testing.B) {
+			cfg := DefaultConfig(open[name](b), dataZones)
+			cfg.CachedPBFGRatio = 0.5
+			c, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := func(i int) []byte { return []byte(fmt.Sprintf("sealed-index-key-%014d", i)) }
+			value := make([]byte, valueSize)
+			// Fill until the second index group seals. Keys written once the
+			// pool's oldest live SG has been flushed are the lookup set.
+			lo, n := -1, 0
+			for ; c.Extra().SGsFlushed < 2*DefaultSGsPerIndexGroup; n++ {
+				if lo < 0 && c.Extra().SGsFlushed > 2*DefaultSGsPerIndexGroup-dataZones {
+					lo = n
+				}
+				if err := c.Set(key(n), value); err != nil {
+					b.Fatal(err)
+				}
+			}
+			keys := make([][]byte, n-lo)
+			for i := range keys {
+				keys[i] = key(lo + int(uint64(i)*7919%uint64(len(keys))))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Get(keys[i%len(keys)]); ok {
+					hits++
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(hits)/float64(b.N)*100, "hit%")
+		})
+	}
 }

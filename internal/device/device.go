@@ -5,13 +5,14 @@
 //
 // Two implementations exist. internal/flashsim is the simulator the paper's
 // numbers were first reproduced on: deterministic, with a virtual-time
-// latency model. internal/filedev is a real file-backed device (pread/pwrite
-// into a preallocated image, measured latencies) that turns the BENCH
-// trajectory from simulated to measured. Engines — Nemo's core and all four
-// baselines — accept the Device interface and cannot tell the backends
-// apart except through the clock: a mixed-trace replay produces identical
-// hit ratios, write amplification, and eviction counts on either (pinned by
-// the cross-backend equivalence tests), only the latency columns differ.
+// latency model. internal/filedev is a real file-backed device (pwrite
+// appends into a preallocated image, mapped or pread reads, measured
+// latencies) that turns the BENCH trajectory from simulated to measured.
+// Engines — Nemo's core and all four baselines — accept the Device
+// interface and cannot tell the backends apart except through the clock: a
+// mixed-trace replay produces identical hit ratios, write amplification,
+// and eviction counts on either (pinned by the cross-backend equivalence
+// tests), only the latency columns differ.
 //
 // The semantic contract, normative for every implementation:
 //

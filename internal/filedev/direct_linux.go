@@ -47,3 +47,11 @@ func alignedBuf(pageSize int) *[]byte {
 func punchHole(f *os.File, off, length int64) {
 	_ = syscall.Fallocate(int(f.Fd()), fallocPunchHole|fallocKeepSize, off, length)
 }
+
+// mapImage maps the image's first size bytes read-only and shared: buffered
+// reads copy out of the page cache that appends pwrite into.
+func mapImage(f *os.File, size int64) ([]byte, error) {
+	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+}
+
+func unmapImage(mem []byte) error { return syscall.Munmap(mem) }

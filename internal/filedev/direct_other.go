@@ -24,3 +24,8 @@ func alignedBuf(pageSize int) *[]byte {
 
 // punchHole is a no-op off Linux; reset zones simply keep their blocks.
 func punchHole(f *os.File, off, length int64) {}
+
+// mapImage maps nothing off Linux: buffered reads stay preads.
+func mapImage(f *os.File, size int64) ([]byte, error) { return nil, nil }
+
+func unmapImage(mem []byte) error { return nil }

@@ -1,10 +1,12 @@
 // Package filedev implements the internal/device contract over a real
-// preallocated file: pread/pwrite at zone*pagesPerZone*pageSize + off, with
-// the same append-only/erase-before-reuse zone semantics the simulator
-// enforces. Where flashsim models latency on a virtual clock, filedev
-// measures it — the device clock is real (vtime.NewReal), so the `done`
-// results are wall-clock completion times and every latency histogram in
-// the engines reports real I/O cost unchanged.
+// preallocated file: pages live at zone*pagesPerZone*pageSize + off, are
+// written with pwrite and read from a shared mapping of the image (or with
+// pread, see below), with the same append-only/erase-before-reuse zone
+// semantics the simulator enforces. Where flashsim models latency on a
+// virtual clock, filedev measures it — the device clock is real
+// (vtime.NewReal), so the `done` results are wall-clock completion times
+// and every latency histogram in the engines reports real I/O cost
+// unchanged.
 //
 // Semantics match flashsim exactly (the cross-backend equivalence tests pin
 // this): per-zone write pointers enforced in software, short appends
@@ -36,12 +38,27 @@
 // acceptable for a cache, which can always refill from the backing store;
 // callers needing stronger guarantees must add their own sync policy.
 //
+// Mapped reads: in buffered mode on Linux, Open maps the data capacity
+// [0, CapacityBytes) read-only and shared, and ReadPage is a copy out of
+// that mapping instead of a pread system call; appends stay pwrites. The
+// two are coherent because a pwrite and a shared mapping of the same file
+// go through the one page cache, so a completed append is visible to the
+// next mapped read. A read holds its zone's read lock, and appends and
+// resets hold the write lock, so no read overlaps a write to its zone and a
+// reader never sees a partial page. The write pointer stays authoritative:
+// pages at or beyond it zero-fill without touching the mapping, so neither
+// a reset's hole punch (which also drops the range from the mapping) nor a
+// failed punch is ever visible. Close takes every zone lock before
+// unmapping, and a read after Close returns an error instead of faulting.
+// Mapped pages are page cache: they count in the process RSS but not in
+// the Go heap. Off Linux, buffered reads are preads.
+//
 // Direct I/O: Config.Direct opens the image with O_DIRECT (Linux only),
 // bypassing the page cache so measured latencies reflect the medium.
 // PageSize must then be a multiple of 4096 and all transfers go through
-// pooled 4096-aligned bounce buffers. io_uring batching for ReadPages is a
-// documented stretch goal — the current implementation issues sequential
-// preads, which is fidelity enough for the BENCH trajectory.
+// pooled 4096-aligned bounce buffers. Direct mode never maps the image (a
+// mapping would read through the page cache that O_DIRECT writes bypass):
+// its reads stay preads.
 package filedev
 
 import (
@@ -150,6 +167,13 @@ type Device struct {
 	// and (Direct mode) 4096-aligned bounce buffers for all transfers.
 	bufs sync.Pool
 
+	// mem is the read-only shared mapping of [0, CapacityBytes) that
+	// buffered reads copy from (nil in Direct mode and off Linux). closed is
+	// set, and mem unmapped, by Close while it holds every zone lock; a
+	// reader checks closed under its zone's read lock.
+	mem    []byte
+	closed bool
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -226,6 +250,12 @@ func Open(cfg Config) (*Device, error) {
 		}
 	} else {
 		d.boot = randBoot()
+	}
+	if !cfg.Direct {
+		if d.mem, err = mapImage(f, d.CapacityBytes()); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("filedev: map image: %w", err)
+		}
 	}
 	return d, nil
 }
@@ -461,8 +491,9 @@ func (d *Device) Append(zoneID int, data []byte) (firstPage int, done time.Durat
 //
 // The buffer-ownership contract is flashsim's: dst belongs to the caller,
 // is filled synchronously before the call returns, and is never retained.
-// The zone's read lock is held across the pread, so reads of the same zone
-// proceed in parallel while a concurrent ResetZone waits.
+// The zone's read lock is held across the copy out of the mapping (or the
+// pread), so reads of the same zone proceed in parallel while a concurrent
+// append or ResetZone waits. A read after Close returns an error.
 func (d *Device) ReadPage(page int, dst []byte) (done time.Duration, err error) {
 	if page < 0 || page >= d.TotalPages() {
 		return 0, fmt.Errorf("filedev: page %d out of range [0,%d)", page, d.TotalPages())
@@ -478,9 +509,14 @@ func (d *Device) ReadPage(page int, dst []byte) (done time.Duration, err error) 
 	z := &d.zones[d.ZoneOf(page)]
 	off := d.OffsetOf(page)
 	z.mu.RLock()
-	if off >= z.wp {
+	switch {
+	case d.closed:
+		err = os.ErrClosed
+	case off >= z.wp:
 		clear(dst[:d.cfg.PageSize])
-	} else if d.cfg.Direct {
+	case d.mem != nil:
+		copy(dst[:d.cfg.PageSize], d.mem[d.byteOff(page):])
+	case d.cfg.Direct:
 		bp := d.bufs.Get().(*[]byte)
 		buf := *bp
 		_, err = d.f.ReadAt(buf[:d.cfg.PageSize], d.byteOff(page))
@@ -488,7 +524,7 @@ func (d *Device) ReadPage(page int, dst []byte) (done time.Duration, err error) 
 			copy(dst[:d.cfg.PageSize], buf)
 		}
 		d.bufs.Put(bp)
-	} else {
+	default:
 		_, err = d.f.ReadAt(dst[:d.cfg.PageSize], d.byteOff(page))
 	}
 	z.mu.RUnlock()
@@ -504,8 +540,7 @@ func (d *Device) ReadPage(page int, dst []byte) (done time.Duration, err error) 
 // completion time of the last read. The ReadPage buffer-ownership contract
 // applies to every dst. On error, buffers before the failing page have been
 // filled and the rest are untouched; the error is the first one encountered
-// in page order. (Batched submission via io_uring is the documented stretch
-// goal; sequential preads are current behaviour.)
+// in page order.
 func (d *Device) ReadPages(pages []int, dst [][]byte) (done time.Duration, err error) {
 	for i, p := range pages {
 		t, err := d.ReadPage(p, dst[i])
@@ -541,15 +576,29 @@ func (d *Device) ResetZone(zoneID int) (done time.Duration, err error) {
 	return d.clock.Now(), nil
 }
 
-// Close releases the file descriptor and, when Config.RemoveOnClose is set,
-// deletes the image. In Persist mode (and not RemoveOnClose) it first
-// rewrites and syncs the superblock, making the image warm-openable. Safe
-// to call more than once; later calls return the first result. Engines
-// never close their device — whoever opened it does.
+// Close unmaps the image, releases the file descriptor and, when
+// Config.RemoveOnClose is set, deletes the image. In Persist mode (and not
+// RemoveOnClose) it first rewrites and syncs the superblock, making the
+// image warm-openable. Safe to call more than once; later calls return the
+// first result. Engines never close their device — whoever opened it does.
 func (d *Device) Close() error {
 	d.closeOnce.Do(func() {
 		if d.cfg.Persist && !d.cfg.RemoveOnClose {
 			d.closeErr = d.flushMeta()
+		}
+		// Every zone lock, so no reader is mid-copy when the mapping goes.
+		for i := range d.zones {
+			d.zones[i].mu.Lock()
+		}
+		d.closed = true
+		if d.mem != nil {
+			if uerr := unmapImage(d.mem); uerr != nil && d.closeErr == nil {
+				d.closeErr = uerr
+			}
+			d.mem = nil
+		}
+		for i := range d.zones {
+			d.zones[i].mu.Unlock()
 		}
 		if cerr := d.f.Close(); cerr != nil && d.closeErr == nil {
 			d.closeErr = cerr

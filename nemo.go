@@ -37,9 +37,10 @@ type DeviceConfig = flashsim.Config
 // FileDeviceConfig configures a file-backed device (see OpenFileDevice).
 type FileDeviceConfig = filedev.Config
 
-// FileDevice is the file-backed device implementation: pread/pwrite into a
-// preallocated image with the same zone semantics as the simulator and
-// real, measured latencies.
+// FileDevice is the file-backed device implementation: pwrite appends into
+// a preallocated image, read back from a shared mapping of it (pread in
+// Direct mode), with the same zone semantics as the simulator and real,
+// measured latencies.
 type FileDevice = filedev.Device
 
 // DeviceStats is the device-level accounting snapshot.
