@@ -38,11 +38,12 @@
 //
 // GETs do their flash I/O outside the shard lock. Each lookup runs in
 // three phases: a short locked plan (fingerprint → set offset, in-memory
-// probe, snapshot of the candidate SGs, their Bloom-filter slices, and the
-// PBFG pages missing from the index cache, plus the SG epoch — pool head
-// ID and flush sequence), an unlocked I/O phase (PBFG fetches, Bloom
-// tests, parallel candidate-page reads into pooled per-goroutine buffers,
-// key scan), and a short locked commit that re-validates the epoch before
+// probe, a test of every index group whose PBFG page is in memory — one
+// AND of bit-sliced filter rows per group — queueing only the positive
+// SGs, the PBFG pages missing from the index cache, and the SG epoch —
+// pool head ID and flush sequence), an unlocked I/O phase (PBFG fetches,
+// one group test per fetched page, parallel candidate-page reads into
+// pooled per-goroutine buffers, key scan), and a short locked commit that re-validates the epoch before
 // applying the read-side effects (hit/read counters, hotness bits,
 // index-cache publication, latency sample). If a flush or eviction moved
 // the flash layout mid-read, the attempt is discarded and replanned; after
@@ -84,10 +85,12 @@
 // after a short locked interlude that runs the hotness/shadow liveness
 // filtering and inserts writeback survivors into the sealed SG — the freed
 // zones are erased, the sealed SG serializes through pooled buffers onto
-// the reserved data zones, its Bloom filters are built, and a completing
-// index group's PBFG pages are assembled and appended), and a locked
-// commit (the flash SG publishes into its group and the FIFO pool, the
-// write-side counters apply, cooling runs if due).
+// the reserved data zones, its Bloom filters are built in the flush's own
+// scratch, and a completing index group's PBFG pages — the group buffer's
+// rows with this SG's column ORed in — are appended), and a locked commit
+// (the flash SG publishes into its group, ORing its filter column into the
+// group buffer, and into the FIFO pool; the write-side counters apply,
+// cooling runs if due).
 //
 // Between seal and commit the flushing SG's objects are served from the
 // sealed slot: reads probe it after memq (any memq copy is newer), a
@@ -143,18 +146,34 @@
 //     contiguous []uint32 run carved at flush commit (or snapshot
 //     restore) — which is also when the prefix sums are computed, once,
 //     instead of lazily on every probe.
-//   - Every setblock page — the in-memory SG sets, the flush victim
-//     read-back scratch, the unsealed groups' Bloom-filter buffers — is a
-//     carve of a per-shard or per-group slab, recycled whole when its SG
-//     flushes or its group seals.
+//   - Every setblock page — the in-memory SG sets and the flush victim
+//     read-back scratch — is a carve of a per-shard slab, recycled whole
+//     when its SG flushes. An unsealed index group's filters are one
+//     per-group slab laid out exactly as its future PBFG zone, dropped
+//     when the group seals.
+//
+// PBFG pages are bit-sliced (internal/bloom): the page for set offset o
+// holds one row of SGsPerIndexGroup bits per filter bit position, bit s
+// of row b being bit b of member s's filter. It takes as many bytes as
+// the members' filters side by side (3600 B at Table 3), but a key is
+// tested against the whole group at once: AND the k rows its probe set
+// names, 56 members per 8-byte load, stop as soon as the result is 0, and
+// walk the surviving bits newest member first. Only those positives are
+// checked for liveness and get a candidate page address. The unsealed
+// group buffer uses the same layout, so the read plan, DELETE's flash
+// check and writeback's shadow check all run one group test, whatever
+// the group's state; a flush ORs its column in at commit, and a sealing
+// flush writes the rows with its own column added straight to the index
+// zone. The answers are bit-for-bit those of testing each member's filter.
 //
 // The ownership rule that makes immediate recycling safe under the
 // optimistic read protocol: arena memory is only ever dereferenced while
-// holding the shard lock. A read's plan phase Bloom-tests, in place, every
-// filter held in an unsealed group's buffer or a cached PBFG page, and
-// queues only the positives with their candidate page addresses
-// precomputed; members whose PBFG page is not cached are tested after the
-// I/O phase fetches that page into the read's own buffer. The unlocked
+// holding the shard lock. A read's plan phase tests, in place, every index
+// group whose sliced page is in an unsealed group's buffer or the index
+// cache, and queues only the positives with their candidate page
+// addresses precomputed; members whose PBFG page is not cached are queued
+// untested and tested after the I/O phase fetches that page into the
+// read's own buffer, one group test per page. The unlocked
 // I/O phase touches only per-goroutine scratch and its own pooled
 // buffers, and the commit phase re-validates the SG epoch before touching
 // any SG — an epoch match proves no flush or eviction recycled anything
@@ -165,9 +184,11 @@
 // measures the result — live heap objects, GC pause totals, DRAM
 // bytes/key, and GET throughput under forced GC churn at 1M+ resident
 // keys; landing this layout cut HeapObjects at 1M keys from 1585 to 74 at
-// one shard (21×) and from 3435 to 322 at eight. The snapshot format is
+// one shard (21×) and from 3435 to 322 at eight. The snapshot sections are
 // unaffected: checkpoint bytes are pinned identical to the map-based
-// layout's, so warm restart crosses the layout change in either direction.
+// layout's. Only the format version moved, to 2, when PBFG pages became
+// bit-sliced on the device: a version-1 snapshot names an image with
+// side-by-side filters, so restore refuses it and the engine cold-formats.
 //
 // EngineV2 bundles the core and all three extensions. Cache and
 // ShardedCache implement it natively;

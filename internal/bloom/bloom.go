@@ -6,11 +6,21 @@
 // the SGs of an index group are queried together with a shared, precomputed
 // probe set (the paper's "each hash function is computed once and the
 // results are shared across all filters", §5.5).
+//
+// A PBFG page stores those filters bit-sliced (PutSliced): for every filter
+// bit position b it holds one row of width bits, row b starting at bit
+// b·width, and bit s of row b is bit b of member s's filter. A page takes
+// ⌈mbits·width/8⌉ bytes, exactly as many as width filters laid side by
+// side, but a fingerprint is tested against every member at once: AND the
+// k rows its probe set names (MaskSliced) and read the surviving members
+// off the result.
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"nemo/internal/hashing"
 )
@@ -143,19 +153,6 @@ func FromBytes(b []byte, n int, fpr float64) (*Filter, error) {
 	return f, nil
 }
 
-// TestRaw tests fp directly against a serialized filter without
-// materializing a Filter, using the shared probe positions ps. This is the
-// hot path for querying a packed PBFG page: one probe-set computation is
-// shared across tens of filters.
-func TestRaw(raw []byte, ps *ProbeSet) bool {
-	for _, pos := range ps.pos {
-		if raw[pos>>3]&(1<<(pos&7)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ProbeSet holds precomputed probe positions for one fingerprint against a
 // fixed filter geometry, shared across all filters in a PBFG.
 type ProbeSet struct {
@@ -189,4 +186,69 @@ func (ps *ProbeSet) TestFilter(f *Filter) bool {
 		}
 	}
 	return true
+}
+
+// SliceChunk is how many members of a sliced page MaskSliced tests per
+// call: any 56-bit window of a row, whatever its offset within its first
+// byte, lies inside one unaligned 8-byte load.
+const SliceChunk = 56
+
+// PutSliced ORs the serialized filter raw (AppendBytes layout) into member
+// slot's column of a sliced page of the given width. The column must be
+// clear beforehand for the page to hold exactly raw.
+func PutSliced(rows []byte, width, slot int, raw []byte) {
+	for i, c := range raw {
+		for c != 0 {
+			p := (i*8+bits.TrailingZeros8(c))*width + slot
+			rows[p>>3] |= 1 << (p & 7)
+			c &= c - 1
+		}
+	}
+}
+
+// ExtractSliced writes member slot's filter out of a sliced page of the
+// given width into dst in AppendBytes layout; len(dst)*8 is the filter's
+// bit count.
+func ExtractSliced(dst, rows []byte, width, slot int) {
+	for i := range dst {
+		var c byte
+		for j := 0; j < 8; j++ {
+			p := (i*8+j)*width + slot
+			c |= (rows[p>>3] >> (p & 7) & 1) << j
+		}
+		dst[i] = c
+	}
+}
+
+// MaskSliced tests the probed fingerprint against members [lo,
+// lo+SliceChunk) of a sliced page of the given width: bit i of the result
+// is set iff member lo+i's filter admits every probe, so each bit equals
+// that member's Test. Members at or past width read as 0. rows may run
+// past the page (a cached page is a whole device page); a row window that
+// ends inside the last 8 bytes of rows is loaded byte by byte.
+func (ps *ProbeSet) MaskSliced(rows []byte, width, lo int) uint64 {
+	n := width - lo
+	if n <= 0 {
+		return 0
+	}
+	if n > SliceChunk {
+		n = SliceChunk
+	}
+	m := uint64(1)<<n - 1
+	for _, pos := range ps.pos {
+		bit := int(pos)*width + lo
+		i := bit >> 3
+		var w uint64
+		if i+8 <= len(rows) {
+			w = binary.LittleEndian.Uint64(rows[i:])
+		} else {
+			for j, b := range rows[i:] {
+				w |= uint64(b) << (8 * j)
+			}
+		}
+		if m &= w >> (bit & 7); m == 0 {
+			return 0
+		}
+	}
+	return m
 }

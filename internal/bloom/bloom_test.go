@@ -1,7 +1,11 @@
 package bloom
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -81,7 +85,7 @@ func TestFromBytesRejectsWrongSize(t *testing.T) {
 	}
 }
 
-func TestTestRawMatchesFilter(t *testing.T) {
+func TestProbeSetMatchesFilter(t *testing.T) {
 	mbits := SizeBits(40, 0.001)
 	k := NumHashes(0.001)
 	f := func(adds []uint64, probe uint64) bool {
@@ -89,12 +93,75 @@ func TestTestRawMatchesFilter(t *testing.T) {
 		for _, a := range adds {
 			filt.Add(a)
 		}
-		raw := filt.AppendBytes(nil)
-		ps := NewProbeSet(probe, mbits, k)
-		return TestRaw(raw, ps) == filt.Test(probe) && ps.TestFilter(filt) == filt.Test(probe)
+		return NewProbeSet(probe, mbits, k).TestFilter(filt) == filt.Test(probe)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSlicedMatchesFilters is the sliced-layout property: for random member
+// filters put into a page of exactly ⌈mbits·width/8⌉ bytes, every member's
+// mask bit equals its Filter.Test, and every member's filter extracts back
+// bit for bit. Widths cover one member, partial and full 56-member chunks,
+// and a multi-chunk page; a probe of the last filter bit reads the last row
+// through the end-of-page guard.
+func TestSlicedMatchesFilters(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	geoms := []struct {
+		width, n int
+		fpr      float64
+	}{
+		{1, 40, 0.001}, {2, 40, 0.001}, {3, 40, 0.001}, {4, 40, 0.001},
+		{50, 40, 0.001}, {56, 40, 0.001}, {57, 40, 0.001}, {130, 4, 0.1},
+	}
+	for _, g := range geoms {
+		mbits, k := SizeBits(g.n, g.fpr), NumHashes(g.fpr)
+		rows := make([]byte, (mbits*g.width+7)/8)
+		filters := make([]*Filter, g.width)
+		var added []uint64
+		for s := range filters {
+			filters[s] = New(g.n, g.fpr)
+			for i := rng.Intn(g.n + 1); i > 0; i-- {
+				fp := rng.Uint64()
+				filters[s].Add(fp)
+				added = append(added, fp)
+			}
+			PutSliced(rows, g.width, s, filters[s].AppendBytes(nil))
+		}
+		dst := make([]byte, mbits/8)
+		for s, f := range filters {
+			ExtractSliced(dst, rows, g.width, s)
+			if !bytes.Equal(dst, f.AppendBytes(nil)) {
+				t.Fatalf("width %d: member %d does not extract to the filter put in", g.width, s)
+			}
+		}
+		check := func(ps *ProbeSet, desc string, test func(f *Filter) bool) {
+			for lo := 0; lo < g.width; lo += SliceChunk {
+				m := ps.MaskSliced(rows, g.width, lo)
+				for i := 0; i < 64; i++ {
+					s := lo + i
+					want := i < SliceChunk && s < g.width && test(filters[s])
+					if got := m>>i&1 == 1; got != want {
+						t.Fatalf("width %d, %s: member %d mask bit %v, filter test %v", g.width, desc, s, got, want)
+					}
+				}
+			}
+		}
+		ps := NewProbeSet(0, mbits, k)
+		for i := 0; i < 300; i++ {
+			fp := rng.Uint64()
+			if i%2 == 0 && len(added) > 0 {
+				fp = added[rng.Intn(len(added))]
+			}
+			ps.Reuse(fp, mbits)
+			check(ps, fmt.Sprintf("fp %x", fp), func(f *Filter) bool { return f.Test(fp) })
+		}
+		// Every probe on the last row, which ends at the page's last byte.
+		for i := range ps.pos {
+			ps.pos[i] = uint64(mbits - 1)
+		}
+		check(ps, "last row", ps.TestFilter)
 	}
 }
 
@@ -137,28 +204,30 @@ func TestPaperPBFGPagePacking(t *testing.T) {
 
 // BenchmarkPBFGLookup1000 reproduces the §5.5 microbenchmark: computing the
 // candidate SGs through a PBFG of 1000 set-level Bloom filters with shared
-// probes (the paper measures ≈1 µs on GoogleTest).
+// probes (the paper measures ≈1 µs on GoogleTest), here as 20 sliced pages
+// of 50 members each.
 func BenchmarkPBFGLookup1000(b *testing.B) {
-	const filters = 1000
+	const filters, width = 1000, 50
 	mbits := SizeBits(40, 0.001)
 	k := NumHashes(0.001)
-	raws := make([][]byte, filters)
-	for i := range raws {
-		f := New(40, 0.001)
-		for j := 0; j < 40; j++ {
-			f.Add(hashing.SplitMix64(uint64(i*40 + j)))
+	pages := make([][]byte, filters/width)
+	for i := range pages {
+		pages[i] = make([]byte, mbits*width/8)
+		for s := 0; s < width; s++ {
+			f := New(40, 0.001)
+			for j := 0; j < 40; j++ {
+				f.Add(hashing.SplitMix64(uint64((i*width+s)*40 + j)))
+			}
+			PutSliced(pages[i], width, s, f.AppendBytes(nil))
 		}
-		raws[i] = f.AppendBytes(nil)
 	}
 	ps := NewProbeSet(0, mbits, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ps.Reuse(hashing.SplitMix64(uint64(i)), mbits)
 		hits := 0
-		for _, raw := range raws {
-			if TestRaw(raw, ps) {
-				hits++
-			}
+		for _, page := range pages {
+			hits += bits.OnesCount64(ps.MaskSliced(page, width, 0))
 		}
 		if hits < 0 {
 			b.Fatal("impossible")

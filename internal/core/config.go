@@ -73,7 +73,8 @@ type Config struct {
 
 	// SGsPerIndexGroup is the number of SGs whose set-level Bloom filters
 	// form one index group (Table 3: 50; each PBFG page then packs the
-	// filters of one intra-SG offset across the group's SGs).
+	// filters of one intra-SG offset across the group's SGs, bit-sliced so
+	// a lookup tests 56 members per load; New requires the page to fit).
 	SGsPerIndexGroup int
 
 	// BloomFPR is the PBFG false-positive rate (Table 3: 0.001).

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"nemo/internal/bloom"
 )
@@ -24,9 +23,9 @@ import (
 //
 // Recycling is immediate: freed slots go straight back to the free lists.
 // That is safe because the concurrent read path never dereferences arena
-// memory outside the lock — its plan phase Bloom-tests every filter the
-// arenas hold in place and precomputes the page addresses it will read
-// while still holding the lock (readpath.go), and the filters it cannot
+// memory outside the lock — its plan phase tests every index group it can
+// reach in place (testGroup) and precomputes the page addresses it will
+// read while still holding the lock (readpath.go), and the groups it cannot
 // reach yet are tested on pages it fetches into its own buffers. A slot
 // reused mid-attempt can corrupt nothing the attempt still looks at (stale
 // attempts are discarded by the epoch check regardless).
@@ -209,27 +208,22 @@ func (a *metaArena) release(m []uint32) {
 }
 
 // idxGroup aggregates the set-level Bloom filters of up to SGsPerIndexGroup
-// SGs (§4.3). While unsealed, the filters live in the in-memory index-group
-// buffer; sealing packs them into PBFG pages (one per intra-SG offset, each
-// holding the filters of that offset across all member SGs) and writes them
-// to an index-pool zone.
+// SGs (§4.3). Sealed or not, the filters of one intra-SG offset form one
+// bit-sliced page (bloom.PutSliced): one row of SGsPerIndexGroup bits per
+// filter bit, bit s of row b being bit b of member s's filter, so one AND
+// across a key's probe rows tests every member at once (testGroup).
 type idxGroup struct {
 	id        int
 	zones     []int // index zones once sealed, nil before
 	sealed    bool
 	members   []*flashSG
 	liveCount int
-	// slotBF[s] holds member s's filters: SetsPerSG filters of bfBytes
-	// each, concatenated by set offset. Retained until sealing; the page
-	// for offset o is assembled at seal time (writepath.go buildAndAppend)
-	// by gathering slice o from every member. Each member's slice is
-	// immutable once appended, which is what lets the unlocked build phase
-	// assemble PBFG pages from a seal-phase snapshot of this list. All
-	// slices are carves of bfBacking (one allocation per group, slot s
-	// owning bytes [s*slotBytes, (s+1)*slotBytes)), dropped wholesale at
-	// seal; the flush owner writes its own slot's carve unlocked while
-	// readers probe other slots' — disjoint regions of the same backing.
-	slotBF    [][]byte
+	// bfBacking is the unsealed group's future PBFG zone image: SetsPerSG
+	// sliced pages of pbfgBytes (groupRows). A flush ORs its SG's column
+	// in at commit, under the lock; a sealing flush writes the rows with
+	// its column added to the index zone instead, and the backing is
+	// dropped. Flushes are serialized, so only readers share the rows with
+	// an unlocked build.
 	bfBacking []byte
 }
 
@@ -254,10 +248,10 @@ func unpackPBFG(p uint64) pbfgKey {
 const pageSlabPages = 64
 
 // pageArena stores cached PBFG pages as fixed slots of large slabs. Slots
-// are identified by index and recycled immediately on release: readers copy
-// the filter bytes they need out of a page while still holding the lock
-// (readpath.go planGetLocked), so no slice into a slot ever outlives the
-// critical section that looked it up.
+// are identified by index and recycled immediately on release: readers
+// test a page in place while still holding the lock (readpath.go
+// planGetLocked), so no slice into a slot ever outlives the critical
+// section that looked it up.
 type pageArena struct {
 	pageSize int
 	slabs    [][]byte
@@ -291,7 +285,7 @@ func (a *pageArena) release(slot int32) {
 //
 // Pages live in the arena; put copies the caller's page bytes into a slot,
 // and page slices handed out by get are valid only under the lock (slots
-// recycle on eviction — the concurrent read path copies what it needs at
+// recycle on eviction — the concurrent read path tests pages in place at
 // plan time, readpath.go). Lookup is a flat open-addressing table (linear
 // probing, backward-shift deletion, load ≤ ½) over packed keys: no map, no
 // per-page heap objects.
@@ -527,29 +521,28 @@ func (pc *pbfgCache) maybeCompact() {
 	}
 }
 
-// fetchPBFG returns the raw PBFG page for (group, set o) on behalf of the
-// write-path shadow checks (deletion and writeback), consulting the index
-// cache or flash. Flash reads are still accounted, but not as index-cache
-// traffic — the Figure 19b miss ratio counts only lookup-path queries,
-// which the read path charges itself during its plan phase (readpath.go).
-// A flash fetch lands in c.fetchBuf (mu-guarded scratch); the returned
-// slice is valid until the next fetchPBFG call.
-func (c *Cache) fetchPBFG(g *idxGroup, o int) (raw []byte, done time.Duration, err error) {
+// fetchPBFG returns the sliced filter page for (group, set o) — the
+// unsealed buffer's, or the index cache's or flash's — for the write-path
+// shadow checks (deletion and writeback). Flash reads are still accounted,
+// but not as index-cache traffic — the Figure 19b miss ratio counts only
+// lookup-path queries, which the read path charges itself during its plan
+// phase (readpath.go). A flash fetch lands in c.fetchBuf (mu-guarded
+// scratch); the returned slice is valid until the next fetchPBFG call.
+func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	if !g.sealed {
-		return nil, 0, nil // caller tests unsealed filters per slot
+		return c.groupRows(g, o), nil
 	}
 	k := pbfgKey{group: g.id, set: o}
 	if page, ok := c.icache.get(k); ok {
-		return page, 0, nil
+		return page, nil
 	}
-	d, err := c.dev.ReadPage(c.pageAddrIn(g.zones, o), c.fetchBuf)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: reading PBFG page: %w", err)
+	if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, o), c.fetchBuf); err != nil {
+		return nil, fmt.Errorf("core: reading PBFG page: %w", err)
 	}
 	c.stats.FlashReadOps++
 	c.stats.FlashBytesRead += uint64(c.pageSize)
 	c.icache.put(k, c.fetchBuf)
-	return c.fetchBuf, d, nil
+	return c.fetchBuf, nil
 }
 
 // pbfgResident reports whether the PBFG covering (group, set o) is in
@@ -562,14 +555,31 @@ func (c *Cache) pbfgResident(g *idxGroup, o int) bool {
 	return c.icache.has(pbfgKey{group: g.id, set: o})
 }
 
-// testMember tests member slot s of group g for fp at offset o using the
-// assembled page (sealed) or the buffer (unsealed).
-func (c *Cache) testMember(g *idxGroup, page []byte, s, o int, ps *bloom.ProbeSet) bool {
-	if g.sealed {
-		return bloom.TestRaw(page[s*c.bfBytes:(s+1)*c.bfBytes], ps)
+// testGroup calls fn, newest first, on each live member of g with objects
+// in set o whose filter in rows (g's sliced page for o) admits ps, until fn
+// returns false, and reports whether it did. Only slots below
+// len(g.members) carry bits. Caller holds c.mu (the SG arena recycles).
+func (c *Cache) testGroup(g *idxGroup, rows []byte, o int, ps *bloom.ProbeSet, fn func(m *flashSG) bool) bool {
+	for lo := (len(g.members) - 1) / bloom.SliceChunk * bloom.SliceChunk; lo >= 0; lo -= bloom.SliceChunk {
+		mask := ps.MaskSliced(rows, c.cfg.SGsPerIndexGroup, lo)
+		for mask != 0 {
+			b := 63 - bits.LeadingZeros64(mask)
+			mask &^= 1 << b
+			m := g.members[lo+b]
+			if m.dead || m.setCount(o) == 0 {
+				continue
+			}
+			if !fn(m) {
+				return true
+			}
+		}
 	}
-	bf := g.slotBF[s]
-	return bloom.TestRaw(bf[o*c.bfBytes:(o+1)*c.bfBytes], ps)
+	return false
+}
+
+// groupRows returns the unsealed group g's sliced filter page for set o.
+func (c *Cache) groupRows(g *idxGroup, o int) []byte {
+	return g.bfBacking[o*c.pbfgBytes : (o+1)*c.pbfgBytes : (o+1)*c.pbfgBytes]
 }
 
 // releaseSG recycles a dead SG's struct and meta carve once its group is

@@ -41,6 +41,7 @@ type Cache struct {
 	setsPerSG int
 	bfBytes   int // serialized bytes of one set-level Bloom filter
 	bfBits    int
+	pbfgBytes int // one sliced PBFG page: bfBytes × SGsPerIndexGroup
 	bfK       int
 
 	mu sync.Mutex
@@ -151,10 +152,12 @@ func New(cfg Config) (*Cache, error) {
 		setsPerSG: cfg.ZonesPerSG * dev.PagesPerZone(),
 		bfBytes:   bfBytes,
 		bfBits:    bfBits,
+		pbfgBytes: bfBytes * cfg.SGsPerIndexGroup,
 		bfK:       bloom.NumHashes(cfg.BloomFPR),
 	}
 	c.fscratch.pageBuf = make([]byte, 0, dev.PageSize())
 	c.fscratch.counts = make([]uint32, c.setsPerSG)
+	c.fscratch.bfs = make([]byte, 0, c.setsPerSG*bfBytes)
 	c.fscratch.parseBlk = *setblock.New(c.pageSize)
 	c.fetchBuf = make([]byte, c.pageSize)
 	c.sgAlloc = sgArena{zps: cfg.ZonesPerSG}
@@ -416,22 +419,12 @@ func (c *Cache) mayExistOnFlashLocked(fp uint64, o int) (bool, error) {
 		if g.liveCount == 0 {
 			continue
 		}
-		var page []byte
-		if g.sealed {
-			p, _, err := c.fetchPBFG(g, o)
-			if err != nil {
-				return true, err
-			}
-			page = p
+		rows, err := c.fetchPBFG(g, o)
+		if err != nil {
+			return true, err
 		}
-		for s := len(g.members) - 1; s >= 0; s-- {
-			m := g.members[s]
-			if m.dead || m.setCount(o) == 0 {
-				continue
-			}
-			if c.testMember(g, page, s, o, c.probes) {
-				return true, nil
-			}
+		if c.testGroup(g, rows, o, c.probes, func(*flashSG) bool { return false }) {
+			return true, nil
 		}
 	}
 	return false, nil
@@ -565,10 +558,7 @@ func (c *Cache) openGroup() *idxGroup {
 		len(c.groups[n-1].members) < c.cfg.SGsPerIndexGroup {
 		return c.groups[n-1]
 	}
-	g := &idxGroup{id: c.nextGroup}
-	// One backing allocation carries all member filter buffers until seal;
-	// member slot s writes only its own carve (see idxGroup.slotBF).
-	g.bfBacking = make([]byte, c.cfg.SGsPerIndexGroup*c.setsPerSG*c.bfBytes)
+	g := &idxGroup{id: c.nextGroup, bfBacking: make([]byte, c.setsPerSG*c.pbfgBytes)}
 	c.nextGroup++
 	c.groups = append(c.groups, g)
 	return g
@@ -604,22 +594,13 @@ func (c *Cache) shadowedByNewer(fp uint64, o int, newerThan uint64, key []byte) 
 		if newest.id <= newerThan {
 			break // groups are ordered; nothing older can shadow
 		}
-		var page []byte
-		if g.sealed {
-			p, _, err := c.fetchPBFG(g, o)
-			if err != nil {
-				return false, err
-			}
-			page = p
+		rows, err := c.fetchPBFG(g, o)
+		if err != nil {
+			return false, err
 		}
-		for s := len(g.members) - 1; s >= 0; s-- {
-			m := g.members[s]
-			if m.dead || m.id <= newerThan || m.setCount(o) == 0 {
-				continue
-			}
-			if c.testMember(g, page, s, o, c.probes) {
-				return true, nil
-			}
+		// Only a positive newer than the victim shadows it.
+		if c.testGroup(g, rows, o, c.probes, func(m *flashSG) bool { return m.id <= newerThan }) {
+			return true, nil
 		}
 	}
 	return false, nil

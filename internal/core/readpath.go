@@ -5,15 +5,17 @@ package core
 // A Get runs in three phases:
 //
 //   - plan (locked): fingerprint → set offset, probe the in-memory SGs, and
-//     — when the lookup must go to flash — Bloom-test in place every member
-//     filter the lock can reach (unsealed group buffers, cached PBFG pages)
-//     and queue only the positives, page addresses precomputed, so the
-//     unlocked phase never touches the recycling index-cache/SG arenas.
-//     Members of a group whose PBFG page is not cached are queued untested
-//     against a pending fetch of it, and the SG epoch (pool head ID + flush
-//     sequence) is snapshotted.
-//   - I/O (unlocked): fetch the missing PBFG pages, Bloom-test the members
-//     queued against them, read the candidate set pages newest-first
+//     — when the lookup must go to flash — test in place every index group
+//     whose sliced filter page the lock can reach (unsealed group buffers,
+//     cached PBFG pages), one AND of the key's probe rows per group
+//     (testGroup), and queue only the positives, page addresses
+//     precomputed, so the unlocked phase never touches the recycling
+//     index-cache/SG arenas. Members of a group whose PBFG page is not
+//     cached are queued untested against a pending fetch of it, and the SG
+//     epoch (pool head ID + flush sequence) is snapshotted.
+//   - I/O (unlocked): fetch the missing PBFG pages, test each once per key
+//     against the members queued on it, read the candidate set pages
+//     newest-first
 //     (pooled per-goroutine buffers via sync.Pool — never the mutex-guarded
 //     scratch the old path used), and scan them for the key.
 //   - commit (locked): re-validate the epoch. If no SG was flushed or
@@ -238,40 +240,37 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 		if g.liveCount == 0 {
 			continue
 		}
-		var page []byte
-		pend := int32(-1)
-		if g.sealed {
+		var rows []byte
+		if !g.sealed {
+			rows = c.groupRows(g, o)
+		} else {
 			k := pbfgKey{group: g.id, set: o}
 			c.icache.lookups++
-			if p, ok := c.icache.get(k); ok {
-				page = p
-			} else {
-				pend = sc.findPend(k)
+			var ok bool
+			if rows, ok = c.icache.get(k); !ok {
+				// Not cached: queue the live members untested, newest first,
+				// for getIO to test against the fetched page.
+				pend := sc.findPend(k)
 				if pend < 0 {
 					c.icache.misses++
 					pend = int32(len(sc.pends))
-					sc.pends = append(sc.pends, pendFetch{
-						key:   k,
-						addr:  c.pageAddrIn(g.zones, o),
-						owner: owner,
-					})
+					sc.pends = append(sc.pends, pendFetch{key: k, addr: c.pageAddrIn(g.zones, o), owner: owner})
 				}
-			}
-		}
-		for s := len(g.members) - 1; s >= 0; s-- {
-			m := g.members[s]
-			if m.dead || m.setCount(o) == 0 {
+				for s := len(g.members) - 1; s >= 0; s-- {
+					if m := g.members[s]; !m.dead && m.setCount(o) > 0 {
+						sc.ents = append(sc.ents, probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: pend, slot: int32(s)})
+					}
+				}
 				continue
 			}
-			// Test the filter now if the lock can reach it: arena slots and
-			// unsealed group buffers may be recycled or dropped the moment
-			// the lock is released. The page address is fixed here for the
-			// same reason (m.zones aliases the recycling SG arena).
-			if pend < 0 && !c.testMember(g, page, s, o, sc.probes) {
-				continue
-			}
-			sc.ents = append(sc.ents, probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: pend, slot: int32(s)})
 		}
+		// Test the whole group while the lock keeps the arena page or the
+		// group buffer alive, and queue only the positives, their page
+		// addresses fixed for the same reason (m.zones aliases the SG arena).
+		c.testGroup(g, rows, o, sc.probes, func(m *flashSG) bool {
+			sc.ents = append(sc.ents, probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: -1})
+			return true
+		})
 	}
 	att.entHi = int32(len(sc.ents))
 }
@@ -341,6 +340,10 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 		}
 	}
 	probed := false
+	// A pending group's members are queued contiguously, so the mask of
+	// one (page, chunk) serves them all.
+	var mask uint64
+	maskPend, maskLo := int32(-1), -1
 	cands := sc.cands[:0]
 	addrs := sc.addrs[:0]
 	for _, e := range sc.ents[att.entLo:att.entHi] {
@@ -364,7 +367,12 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 				sc.probes.Reuse(att.fp, c.bfBits)
 				probed = true
 			}
-			if !bloom.TestRaw(p.page[e.slot*int32(c.bfBytes):(e.slot+1)*int32(c.bfBytes)], sc.probes) {
+			s := int(e.slot)
+			if lo := s / bloom.SliceChunk * bloom.SliceChunk; e.pend != maskPend || lo != maskLo {
+				mask = sc.probes.MaskSliced(p.page, c.cfg.SGsPerIndexGroup, lo)
+				maskPend, maskLo = e.pend, lo
+			}
+			if mask>>(s%bloom.SliceChunk)&1 == 0 {
 				continue
 			}
 		}

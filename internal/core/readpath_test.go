@@ -400,6 +400,59 @@ func TestGetEpochConflictFallsBack(t *testing.T) {
 	wg.Wait()
 }
 
+// sealedIndexGeometry is the sealed-index benchmarks' per-shard geometry,
+// the served benchmark's: 4 KiB pages, 64 pages per zone, 60 data zones.
+func sealedIndexGeometry(shards int) device.Geometry {
+	const dataZones = 60
+	return device.Geometry{
+		PageSize:     4096,
+		PagesPerZone: 64,
+		Zones:        shards * (dataZones + IndexZonesFor(dataZones, DefaultSGsPerIndexGroup)),
+	}
+}
+
+// openSealedIndexDevice opens the named backend ("sim" or "file") at geo.
+func openSealedIndexDevice(b *testing.B, name string, geo device.Geometry) device.Device {
+	if name == "sim" {
+		return flashsim.New(flashsim.Config{PageSize: geo.PageSize, PagesPerZone: geo.PagesPerZone, Zones: geo.Zones})
+	}
+	d, err := filedev.Open(filedev.Config{
+		Path:         filepath.Join(b.TempDir(), "nemo.img"),
+		PageSize:     geo.PageSize,
+		PagesPerZone: geo.PagesPerZone,
+		Zones:        geo.Zones,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { d.Close() })
+	return d
+}
+
+// fillSealedIndex SETs fresh 250-byte objects until every shard has flushed
+// enough SGs to seal its second index group (flushed reports the slowest
+// shard's count) and returns the keys written once every shard's oldest
+// live SG had been flushed, in a scattered order: the lookup set.
+func fillSealedIndex(b *testing.B, set func(k, v []byte) error, flushed func() int) [][]byte {
+	const dataZones = 60
+	key := func(i int) []byte { return []byte(fmt.Sprintf("sealed-index-key-%014d", i)) }
+	value := make([]byte, 250)
+	lo, n := -1, 0
+	for ; flushed() < 2*DefaultSGsPerIndexGroup; n++ {
+		if lo < 0 && flushed() > 2*DefaultSGsPerIndexGroup-dataZones {
+			lo = n
+		}
+		if err := set(key(n), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	keys := make([][]byte, n-lo)
+	for i := range keys {
+		keys[i] = key(lo + int(uint64(i)*7919%uint64(len(keys))))
+	}
+	return keys
+}
+
 // BenchmarkGetSealedIndex measures single-key GETs whose lookups go through
 // sealed PBFG index groups, at the served benchmark's geometry: 4 KiB
 // pages, 64 pages per zone, one shard of 60 SGs with two live index groups,
@@ -407,55 +460,16 @@ func TestGetEpochConflictFallsBack(t *testing.T) {
 // fetched index pages). It runs on the simulator and on a file-backed
 // image; b.ReportAllocs pins the pooled read path's allocation count.
 func BenchmarkGetSealedIndex(b *testing.B) {
-	const dataZones, valueSize = 60, 250
-	geo := device.Geometry{
-		PageSize:     4096,
-		PagesPerZone: 64,
-		Zones:        dataZones + IndexZonesFor(dataZones, DefaultSGsPerIndexGroup),
-	}
-	open := map[string]func(b *testing.B) device.Device{
-		"sim": func(*testing.B) device.Device {
-			return flashsim.New(flashsim.Config{PageSize: geo.PageSize, PagesPerZone: geo.PagesPerZone, Zones: geo.Zones})
-		},
-		"file": func(b *testing.B) device.Device {
-			d, err := filedev.Open(filedev.Config{
-				Path:         filepath.Join(b.TempDir(), "nemo.img"),
-				PageSize:     geo.PageSize,
-				PagesPerZone: geo.PagesPerZone,
-				Zones:        geo.Zones,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { d.Close() })
-			return d
-		},
-	}
 	for _, name := range []string{"sim", "file"} {
 		b.Run(name, func(b *testing.B) {
-			cfg := DefaultConfig(open[name](b), dataZones)
+			dev := openSealedIndexDevice(b, name, sealedIndexGeometry(1))
+			cfg := DefaultConfig(dev, 60)
 			cfg.CachedPBFGRatio = 0.5
 			c, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			key := func(i int) []byte { return []byte(fmt.Sprintf("sealed-index-key-%014d", i)) }
-			value := make([]byte, valueSize)
-			// Fill until the second index group seals. Keys written once the
-			// pool's oldest live SG has been flushed are the lookup set.
-			lo, n := -1, 0
-			for ; c.Extra().SGsFlushed < 2*DefaultSGsPerIndexGroup; n++ {
-				if lo < 0 && c.Extra().SGsFlushed > 2*DefaultSGsPerIndexGroup-dataZones {
-					lo = n
-				}
-				if err := c.Set(key(n), value); err != nil {
-					b.Fatal(err)
-				}
-			}
-			keys := make([][]byte, n-lo)
-			for i := range keys {
-				keys[i] = key(lo + int(uint64(i)*7919%uint64(len(keys))))
-			}
+			keys := fillSealedIndex(b, c.Set, func() int { return int(c.Extra().SGsFlushed) })
 			b.ReportAllocs()
 			b.ResetTimer()
 			hits := 0
@@ -463,6 +477,54 @@ func BenchmarkGetSealedIndex(b *testing.B) {
 				if _, ok := c.Get(keys[i%len(keys)]); ok {
 					hits++
 				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(hits)/float64(b.N)*100, "hit%")
+		})
+	}
+}
+
+// BenchmarkGetManySealedIndex is BenchmarkGetSealedIndex in the shape the
+// server drives: a two-shard Sharded facade (60 SGs per shard) answering
+// GetMany batches of 32 keys. One op is one key, so ns/op and allocs/op
+// compare with the single-key benchmark's; the per-batch result slices
+// show up as a fraction of an alloc per key.
+func BenchmarkGetManySealedIndex(b *testing.B) {
+	const shards, batch = 2, 32
+	for _, name := range []string{"sim", "file"} {
+		b.Run(name, func(b *testing.B) {
+			dev := openSealedIndexDevice(b, name, sealedIndexGeometry(shards))
+			cfg := DefaultConfig(dev, shards*60)
+			cfg.Shards = shards
+			cfg.CachedPBFGRatio = 0.5
+			s, err := NewSharded(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			keys := fillSealedIndex(b, s.Set, func() int {
+				low := int(s.Shard(0).Extra().SGsFlushed)
+				for i := 1; i < shards; i++ {
+					low = min(low, int(s.Shard(i).Extra().SGsFlushed))
+				}
+				return low
+			})
+			batches := make([][][]byte, len(keys)/batch)
+			for i := range batches {
+				batches[i] = keys[i*batch : (i+1)*batch]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			hits := 0
+			for done, i := 0, 0; done < b.N; i++ {
+				keys := batches[i%len(batches)][:min(batch, b.N-done)]
+				_, ok := s.GetMany(keys)
+				for _, h := range ok {
+					if h {
+						hits++
+					}
+				}
+				done += len(keys)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(hits)/float64(b.N)*100, "hit%")

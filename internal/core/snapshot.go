@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"sort"
 
+	"nemo/internal/bloom"
 	"nemo/internal/cachelib"
 	"nemo/internal/device"
 	"nemo/internal/snapshot"
@@ -73,9 +74,10 @@ func (c *Cache) Checkpoint(path string) error {
 	}
 	c.mu.Lock()
 	c.waitFlushIdleLocked()
-	sh := c.captureLocked()
+	sh, open := c.captureLocked()
 	gen := c.dev.Generation()
 	c.mu.Unlock()
+	c.fillSlotBF(&sh, open)
 	f := &snapshot.File{
 		PageSize:     c.dev.PageSize(),
 		PagesPerZone: c.dev.PagesPerZone(),
@@ -88,6 +90,24 @@ func (c *Cache) Checkpoint(path string) error {
 	return snapshot.Save(path, f)
 }
 
+// fillSlotBF writes the open group's filters, copied by captureLocked as
+// sliced pages, into sh as one buffer per member, its filters concatenated
+// by set offset. The transpose costs about a microsecond per filter, so it
+// runs outside the shard lock.
+func (c *Cache) fillSlotBF(sh *snapshot.Shard, open []byte) {
+	if open == nil {
+		return
+	}
+	g := &sh.Groups[len(sh.Groups)-1]
+	for s := range g.Members {
+		bf := make([]byte, c.setsPerSG*c.bfBytes)
+		for o := 0; o < c.setsPerSG; o++ {
+			bloom.ExtractSliced(bf[o*c.bfBytes:(o+1)*c.bfBytes], open[o*c.pbfgBytes:(o+1)*c.pbfgBytes], c.cfg.SGsPerIndexGroup, s)
+		}
+		g.SlotBF = append(g.SlotBF, bf)
+	}
+}
+
 // RestoreOutcome reports what happened to Config.SnapshotPath at New time:
 // restored is true after a successful warm restore; err holds the typed
 // reason a snapshot was refused (nil when none existed — a plain cold
@@ -98,9 +118,11 @@ func (c *Cache) RestoreOutcome() (restored bool, err error) {
 
 // captureLocked snapshots one shard's complete metadata. Caller holds c.mu
 // with no flush in flight (c.sealed == nil), so memq, the group directory,
-// and the free lists are all at a commit boundary.
-func (c *Cache) captureLocked() snapshot.Shard {
-	sh := snapshot.Shard{
+// and the free lists are all at a commit boundary. The open (last, unsealed)
+// group's filters are returned as a copy of its sliced pages, for
+// fillSlotBF to transpose once the lock is released.
+func (c *Cache) captureLocked() (sh snapshot.Shard, open []byte) {
+	sh = snapshot.Shard{
 		NextSGID:       c.nextSGID,
 		NextGroup:      c.nextGroup,
 		SacCount:       c.sacCount,
@@ -152,8 +174,8 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			}
 			sg.Members = append(sg.Members, sm)
 		}
-		for _, bf := range g.slotBF {
-			sg.SlotBF = append(sg.SlotBF, append([]byte(nil), bf...))
+		if !g.sealed {
+			open = append([]byte(nil), g.bfBacking...)
 		}
 		sh.Groups = append(sh.Groups, sg)
 	}
@@ -195,7 +217,7 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			WBBytes:  rec.WBBytes,
 		})
 	}
-	return sh
+	return sh, open
 }
 
 // validateSnapshotFile checks the file-level trust anchors: device geometry
@@ -381,18 +403,16 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			if len(sg.SlotBF) != len(sg.Members) {
 				return nil, cfgErr("unsealed group %d has %d filter buffers for %d members", sg.ID, len(sg.SlotBF), len(sg.Members))
 			}
-			// Future members flush their filters into this group's backing
-			// slab (writepath.go), so rebuild it and carve the checkpointed
-			// buffers back into their slots.
+			// Rebuild the group's sliced pages from the per-member buffers.
 			slotBytes := c.setsPerSG * c.bfBytes
-			g.bfBacking = make([]byte, cfg.SGsPerIndexGroup*slotBytes)
+			g.bfBacking = make([]byte, c.setsPerSG*c.pbfgBytes)
 			for s, bf := range sg.SlotBF {
 				if len(bf) != slotBytes {
 					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", sg.ID, s, len(bf), slotBytes)
 				}
-				carve := g.bfBacking[s*slotBytes : (s+1)*slotBytes : (s+1)*slotBytes]
-				copy(carve, bf)
-				g.slotBF = append(g.slotBF, carve)
+				for o := 0; o < c.setsPerSG; o++ {
+					bloom.PutSliced(c.groupRows(g, o), cfg.SGsPerIndexGroup, s, bf[o*c.bfBytes:(o+1)*c.bfBytes])
+				}
 			}
 		}
 		for s := range sg.Members {
@@ -701,13 +721,18 @@ func (s *Sharded) Checkpoint(path string) error {
 		Zones:        dev.Zones(),
 		Config:       configStamp(s.cfg),
 	}
-	for _, c := range s.shards {
-		f.Shards = append(f.Shards, c.captureLocked())
+	open := make([][]byte, len(s.shards))
+	for i, c := range s.shards {
+		sh, rows := c.captureLocked()
+		f.Shards, open[i] = append(f.Shards, sh), rows
 	}
 	gen := dev.Generation()
 	f.Boot, f.Writes = gen.Boot, gen.Writes
 	for _, c := range s.shards {
 		c.mu.Unlock()
+	}
+	for i, c := range s.shards {
+		c.fillSlotBF(&f.Shards[i], open[i])
 	}
 	return snapshot.Save(path, f)
 }

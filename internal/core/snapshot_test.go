@@ -481,6 +481,57 @@ func TestStaleSnapshotRejected(t *testing.T) {
 	})
 }
 
+// TestOldLayoutSnapshotColdFormats pins the refusal of a snapshot written
+// before PBFG pages were bit-sliced. Such a snapshot is format version 1,
+// and its device holds per-member index pages; restoring it warm would read
+// those pages as sliced rows and drop keys that are on flash, so a delete
+// could come back or an overwritten value be served. The restore must fail
+// with ErrVersion and the engine must cold-format.
+func TestOldLayoutSnapshotColdFormats(t *testing.T) {
+	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
+		dev := b.New(t, snapGeometry(snapShards))
+		path := filepath.Join(t.TempDir(), "s.snap")
+		cfg := snapConfig(dev, snapShards, 0, path)
+		c, err := NewSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := snapTrace(25000)
+		applySnapTrace(t, c, ops, false)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, withSnapshotVersion(blob, 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c2, err := NewSharded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c2.Close()
+		if restored, rerr := c2.RestoreOutcome(); restored || !errors.Is(rerr, snapshot.ErrVersion) {
+			t.Fatalf("restore of a version-1 snapshot: restored=%v err=%v, want refusal with ErrVersion", restored, rerr)
+		}
+		// Cold: nothing from before the restart is served, and the engine
+		// works on the adopted device.
+		for _, op := range ops {
+			k, _ := kv(op.key)
+			if _, hit := c2.Get(k); hit {
+				t.Fatalf("key %d served after a refused restore", op.key)
+			}
+		}
+		applySnapTrace(t, c2, ops, false)
+		if st := c2.Stats(); st.Hits == 0 {
+			t.Fatal("no hits after cold-format refill")
+		}
+	})
+}
+
 // Reflection parity pins: the snapshot package's dependency-free mirror
 // structs must track the engine types field-for-field, so a counter added
 // on one side without the other fails here instead of silently dropping

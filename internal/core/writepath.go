@@ -93,6 +93,7 @@ type flushScratch struct {
 	victimSlab []byte        // one allocation backing all read-back pages
 	pageBuf    []byte        // serialization / PBFG-assembly scratch
 	filter     *bloom.Filter // per-set filter builder
+	bfs        []byte        // the SG's filters by set offset; ORed into its group at commit
 	readSets   []int         // victim set offsets scheduled for read-back
 	counts     []uint32      // per-set object counts of the SG being built;
 	// copied into the SG's meta carve at commit
@@ -198,8 +199,7 @@ func (c *Cache) flushOwner() error {
 			return fmt.Errorf("core: no free index zones to seal group %d", g.id)
 		}
 	}
-	c.nextSGID++         // SG-epoch advance: in-flight optimistic readers will replan
-	memberBF := g.slotBF // existing member filters; immutable, appended to only at commit
+	c.nextSGID++ // SG-epoch advance: in-flight optimistic readers will replan
 	c.sealed = &sealedFlush{mem: front}
 	copy(c.memq, c.memq[1:])
 	c.memq[len(c.memq)-1] = c.takeMemSG()
@@ -222,7 +222,7 @@ func (c *Cache) flushOwner() error {
 
 	// ---- Phase 2b: build (unlocked) ----
 	c.unlockForBuild()
-	bfs, buildErr := c.buildAndAppend(ev, front, sg, zones, idxZones, willSeal, memberBF)
+	buildErr := c.buildAndAppend(ev, front, sg, zones, idxZones, willSeal)
 	c.relockAfterBuild()
 	if buildErr != nil {
 		return c.recoverFailedFlushLocked(ev, front, sg, zones, idxZones, buildErr)
@@ -255,7 +255,6 @@ func (c *Cache) flushOwner() error {
 		c.extra.FlushRecordsDropped++
 	}
 	g.members = append(g.members, sg)
-	g.slotBF = append(g.slotBF, bfs)
 	g.liveCount++
 	c.pool = append(c.pool, sg)
 	if willSeal {
@@ -264,8 +263,12 @@ func (c *Cache) flushOwner() error {
 		c.extra.IndexBytesWritten += zoneBytes
 		g.zones = idxZones
 		g.sealed = true
-		g.slotBF = nil    // buffer released; filters now live in the index pool
-		g.bfBacking = nil // the slab behind those slices goes with them
+		g.bfBacking = nil // the pages now live in the index pool
+	} else {
+		// The member and its filter column become visible together.
+		for o := 0; o < c.setsPerSG; o++ {
+			bloom.PutSliced(c.groupRows(g, o), c.cfg.SGsPerIndexGroup, sg.slot, c.fscratch.bfs[o*c.bfBytes:(o+1)*c.bfBytes])
+		}
 	}
 	if c.bytesSinceCool >= uint64(c.cfg.CoolingWriteRatio*float64(c.poolCapacityBytes())) {
 		c.coolLocked()
@@ -448,20 +451,21 @@ func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr 
 
 // buildAndAppend is the unlocked build phase: erase the zones this flush's
 // eviction freed, serialize the sealed SG's set blocks into the reserved
-// data zones while building its per-set Bloom filters, and — when this SG
-// completes its index group — assemble and append the group's PBFG pages.
-// The device-op multiset and per-zone append order match the historical
-// locked path exactly.
-func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, willSeal bool, memberBF [][]byte) ([]byte, error) {
+// data zones while building its per-set Bloom filters into the owner's
+// scratch, and — when this SG completes its index group — append the
+// group's sliced PBFG pages, each the group buffer's rows with this SG's
+// column ORed in. The device-op multiset and per-zone append order match
+// the historical locked path exactly.
+func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, willSeal bool) error {
 	if ev != nil {
 		for _, z := range ev.idxReset {
 			if _, err := c.dev.ResetZone(z); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for _, z := range ev.victim.zones {
 			if _, err := c.dev.ResetZone(z); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -474,7 +478,7 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 		for _, z := range set {
 			if c.dev.ZoneWP(z) > 0 {
 				if _, err := c.dev.ResetZone(z); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -484,18 +488,14 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 		sc.filter = bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR)
 	}
 	ppz := c.dev.PagesPerZone()
-	// The SG's filters live in its slot's carve of the group backing; the
-	// owner writes only this slot, so concurrent readers probing other
-	// members' carves see disjoint bytes. Set counts accumulate in the
-	// owner's scratch — the SG's meta carve happens at commit, when the
-	// final object count is known.
-	slotBytes := c.setsPerSG * c.bfBytes
-	bfs := sg.group.bfBacking[sg.slot*slotBytes : (sg.slot+1)*slotBytes : (sg.slot+1)*slotBytes]
+	// Set counts and filters accumulate in the owner's scratch: the SG's
+	// meta carve and its filter column land at commit, under the lock.
+	sc.bfs = sc.bfs[:0]
 	for o := range front.sets {
 		blk := &front.sets[o]
 		sc.pageBuf = blk.AppendTo(sc.pageBuf[:0])
 		if _, _, err := c.appendPageRetry(zones[o/ppz], sc.pageBuf); err != nil {
-			return nil, fmt.Errorf("core: flushing SG: %w", err)
+			return fmt.Errorf("core: flushing SG: %w", err)
 		}
 		sc.counts[o] = uint32(blk.Count())
 		sg.objCount += blk.Count()
@@ -504,24 +504,22 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 			sc.filter.Add(e.FP)
 			return true
 		})
-		copy(bfs[o*c.bfBytes:], sc.filter.AppendBytes(sc.pageBuf[:0]))
+		sc.bfs = sc.filter.AppendBytes(sc.bfs)
 	}
 	if willSeal {
 		// One PBFG page per intra-SG offset (§4.3 "packed BF layout"): the
-		// filters of offset o across every member SG, this one last.
+		// group buffer's rows for offset o plus this SG's column. Only
+		// commits write the rows and flushes are serialized: no race.
 		for o := 0; o < c.setsPerSG; o++ {
-			page := sc.pageBuf[:0]
-			for _, bf := range memberBF {
-				page = append(page, bf[o*c.bfBytes:(o+1)*c.bfBytes]...)
-			}
-			page = append(page, bfs[o*c.bfBytes:(o+1)*c.bfBytes]...)
+			page := append(sc.pageBuf[:0], c.groupRows(sg.group, o)...)
+			bloom.PutSliced(page, c.cfg.SGsPerIndexGroup, sg.slot, sc.bfs[o*c.bfBytes:(o+1)*c.bfBytes])
 			sc.pageBuf = page
 			if _, _, err := c.appendPageRetry(idxZones[o/ppz], page); err != nil {
-				return nil, fmt.Errorf("core: sealing index group: %w", err)
+				return fmt.Errorf("core: sealing index group: %w", err)
 			}
 		}
 	}
-	return bfs, nil
+	return nil
 }
 
 // recoverFailedFlushLocked unwinds a flush that died mid-build so the

@@ -125,14 +125,21 @@ type conn struct {
 	midRequest bool
 }
 
-// serveConn runs one connection to completion.
-func (s *Server) serveConn(nc net.Conn) {
-	if !s.addConn(nc) {
+// serveConn runs one connection to completion; held reports that it owns
+// a MaxConns slot. The conn entry and the slot are freed before the socket
+// closes: a client that reads EOF after quit and redials at once must find
+// the slot free, not be answered busy by its own departing handler.
+func (s *Server) serveConn(nc net.Conn, held bool) {
+	defer func() {
+		if held {
+			<-s.connSem
+		}
 		nc.Close()
+	}()
+	if !s.addConn(nc) {
 		return
 	}
 	defer s.removeConn(nc)
-	defer nc.Close()
 	c := &conn{srv: s, nc: nc}
 	defer c.releaseBufs()
 	for {

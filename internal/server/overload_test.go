@@ -107,6 +107,29 @@ func TestMaxConnsRejectBusy(t *testing.T) {
 	expect(t, c3, "VERSION nemo/1\r\n")
 }
 
+// TestMaxConnsQuitReconnectNeverBusy pins the admission order at handler
+// exit: the MaxConns slot is freed before the socket closes, so a client
+// that reads EOF after quit and redials at once is always admitted. With the
+// slot freed after the close, a fast redial could meet its own departing
+// handler's slot and be answered busy.
+func TestMaxConnsQuitReconnectNeverBusy(t *testing.T) {
+	eng, _ := newEngine(t, 1, 0)
+	_, dial := startServer(t, server.Config{Engine: eng, MaxConns: 1, RejectBusy: true})
+	for i := 0; i < 500; i++ {
+		c := dial()
+		send(t, c, "version\r\n")
+		expect(t, c, "VERSION nemo/1\r\n")
+		send(t, c, "quit\r\n")
+		expectEOF(t, c)
+		c.Close()
+	}
+	c := dial()
+	defer c.Close()
+	if m := readStats(t, c); m["conns_rejected"] != 0 {
+		t.Fatalf("conns_rejected = %d after 500 quit/redial cycles, want 0", m["conns_rejected"])
+	}
+}
+
 func TestMaxConnsBlockBackpressure(t *testing.T) {
 	eng, _ := newEngine(t, 1, 0)
 	_, dial := startServer(t, server.Config{Engine: eng, MaxConns: 1})

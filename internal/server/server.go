@@ -206,10 +206,7 @@ func (s *Server) Serve(l net.Listener) error {
 		}
 		go func() {
 			defer s.handlers.Done()
-			if held {
-				defer func() { <-s.connSem }()
-			}
-			s.serveConn(nc)
+			s.serveConn(nc, held)
 		}()
 	}
 }
@@ -240,15 +237,15 @@ func (s *Server) ServeConn(nc net.Conn) {
 			}
 		}
 	}
-	if held {
-		defer func() { <-s.connSem }()
-	}
 	if !s.registerHandler() {
+		if held {
+			<-s.connSem
+		}
 		nc.Close()
 		return
 	}
 	defer s.handlers.Done()
-	s.serveConn(nc)
+	s.serveConn(nc, held)
 }
 
 // registerHandler reserves a handler slot under the server lock, so a

@@ -12,8 +12,13 @@ const (
 	headerSize = 64
 	// Version is the NEMO1 format version this code writes and the only one
 	// it reads. There is no cross-version migration by design: an old
-	// snapshot is throwaway, exactly like a corrupt one.
-	Version = 1
+	// snapshot is throwaway, exactly like a corrupt one. Version 2 marks
+	// devices whose PBFG pages are bit-sliced (internal/bloom PutSliced);
+	// the section bytes are unchanged from version 1, but a version-1
+	// snapshot describes an image whose index pages hold each member's
+	// filter side by side, and reading those as sliced rows would drop
+	// keys, so it must cold-format.
+	Version = 2
 
 	sectionHdrSize = 12 // kind u32 | len u32 | crc32 u32
 )
